@@ -32,8 +32,8 @@ Commands
     Run the repository's domain-specific static analysis
     (:mod:`repro.lint`): AST-level proofs of the determinism and
     contract invariants (seeded-RNG discipline, set-iteration order,
-    kernel-registry consistency, Paper-claim docstrings, rebinding
-    signatures).  Exit 1 on any violation — the CI blocking gate.
+    kernel-registry consistency, Paper-claim docstrings).  Exit 1 on any
+    violation — the CI blocking gate.
 
 Global flags: ``-v``/``--verbose`` turns on DEBUG logging with
 timestamps, ``-q``/``--quiet`` drops the ``...`` progress chatter;
@@ -730,7 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "(default: src/ when present, else .)")
     lint.add_argument("--select", action="append", metavar="CODES",
                       help="run only rules matching these comma-separated "
-                           "codes or prefixes (e.g. RL1,RL301); repeatable")
+                           "codes or prefixes (e.g. RL1,RL203); repeatable")
     lint.add_argument("--ignore", action="append", metavar="CODES",
                       help="drop rules matching these comma-separated "
                            "codes or prefixes; repeatable")

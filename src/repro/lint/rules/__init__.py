@@ -12,12 +12,11 @@ RL105    builtin ``hash()`` (PYTHONHASHSEED-salted) in derivations
 RL201    columnar capability without a registered kernel (and inverse)
 RL202    delay-model entry point missing the ``delay_tolerant`` guard
 RL203    Paper-claim docstring block absent or contradicting the spec
-RL301    instance-method rebinding with a drifted signature
 =======  ==========================================================
 """
 
 from __future__ import annotations
 
-from . import contract, determinism, hygiene, idiom
+from . import contract, determinism, hygiene
 
-__all__ = ["contract", "determinism", "hygiene", "idiom"]
+__all__ = ["contract", "determinism", "hygiene"]

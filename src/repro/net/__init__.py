@@ -14,8 +14,10 @@ Layering, bottom up:
   edge, sender/listener split, per-round frame buffers.
 * :mod:`repro.net.node` — one asyncio task per node executing shipped
   activations.
-* :mod:`repro.net.runner` — the round-synchronizing coordinator that
-  mirrors the simulator's state machine (the parity argument lives in
+* :mod:`repro.net.runner` — the round-synchronizing coordinator: a
+  second driver of the simulator's round core
+  (:mod:`repro.sim.scheduler`) that adds frames, the receive barrier,
+  and per-node tasks, and nothing else (the parity argument lives in
   its docstring).
 * :mod:`repro.net.engine` — request checking (the known-unsupported
   matrix) and entry point.

@@ -8,19 +8,33 @@ travels along harmlessly). CONGEST accounting uses the *abstract*
 ``payload.size_bits()`` measure, exactly like the simulator, so message
 and bit counts are identical across backends; the wire byte count is
 reported separately as transport telemetry.
+
+Endpoints listen on loopback, where any local process can connect, so
+nothing read off a socket is trusted.  The dialer's hello is a
+fixed-width integer, never a pickle.  Frame bodies are unpickled by an
+unpickler that resolves no global except a :class:`Payload` subclass
+from an already imported ``repro`` module (importing one could run
+code, e.g. ``repro.__main__``): tuples, lists, dicts and sets need no
+global under the pickle protocol used here, and the net parity suite
+sends no other class.  Anything else is refused with
+:class:`CodecError` before it can be called.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
+import io
 import pickle
 import struct
+import sys
 from typing import Any, Optional, Tuple
 
 from ..sim.message import Payload
 
 _HEADER = struct.Struct(">I")
 HEADER_SIZE = _HEADER.size
+_HELLO = struct.Struct(">I")
 
 #: Upper bound on a single frame's pickled body.  Registry payloads are a
 #: few hundred bytes; anything near this limit indicates corruption.
@@ -31,7 +45,25 @@ Frame = Tuple[int, int, int, Payload]
 
 
 class CodecError(ValueError):
-    """A malformed frame was read off the wire."""
+    """A malformed or forbidden frame was read off the wire."""
+
+
+@functools.lru_cache(maxsize=None)
+def _payload_class(module: str, name: str) -> type:
+    """The payload class ``module.name``; refusals are not cached, so
+    the cache holds only real payload classes."""
+    loaded = sys.modules.get(module) if module.startswith("repro.") else None
+    obj = getattr(loaded, name, None)
+    if isinstance(obj, type) and issubclass(obj, Payload):
+        return obj
+    raise CodecError(f"frame names forbidden global {module}.{name}")
+
+
+class _FrameUnpickler(pickle.Unpickler):
+    """Resolves only the payload classes of ``repro`` algorithms."""
+
+    def find_class(self, module: str, name: str) -> Any:
+        return _payload_class(module, name)
 
 
 def encode_frame(src: int, delivery_round: int, dst_port: int,
@@ -47,18 +79,23 @@ def encode_frame(src: int, delivery_round: int, dst_port: int,
 
 def decode_body(body: bytes) -> Frame:
     """Deserialize a frame body back into ``(src, round, port, payload)``."""
-    obj: Any = pickle.loads(body)
+    try:
+        obj: Any = _FrameUnpickler(io.BytesIO(body)).load()
+    except CodecError:
+        raise
+    except Exception as exc:  # any malformed pickle, whatever it trips
+        raise CodecError(f"undecodable frame: {exc!r}") from exc
     if (not isinstance(obj, tuple) or len(obj) != 4
             or not isinstance(obj[0], int) or not isinstance(obj[1], int)
-            or not isinstance(obj[2], int)):
+            or not isinstance(obj[2], int)
+            or not isinstance(obj[3], Payload)):
         raise CodecError(f"malformed frame: {obj!r}")
     return obj  # type: ignore[return-value]
 
 
 def encode_hello(index: int) -> bytes:
     """Handshake frame a dialer sends first: its own node index."""
-    body = pickle.dumps(index, protocol=pickle.HIGHEST_PROTOCOL)
-    return _HEADER.pack(len(body)) + body
+    return _HEADER.pack(_HELLO.size) + _HELLO.pack(index)
 
 
 async def read_raw(reader: asyncio.StreamReader) -> Optional[bytes]:
@@ -76,20 +113,12 @@ async def read_raw(reader: asyncio.StreamReader) -> Optional[bytes]:
         return None
 
 
-async def read_frame(reader: asyncio.StreamReader) -> Optional[Frame]:
-    """Read and decode one message frame; ``None`` on EOF / reset."""
-    body = await read_raw(reader)
-    if body is None:
-        return None
-    return decode_body(body)
-
-
 async def read_hello(reader: asyncio.StreamReader) -> Optional[int]:
     """Read the dialer-index handshake; ``None`` on EOF / reset."""
     body = await read_raw(reader)
     if body is None:
         return None
-    index: Any = pickle.loads(body)
-    if not isinstance(index, int):
-        raise CodecError(f"malformed hello frame: {index!r}")
+    if len(body) != _HELLO.size:
+        raise CodecError(f"malformed hello frame: {body!r}")
+    (index,) = _HELLO.unpack(body)
     return index

@@ -27,7 +27,6 @@ n > NET_MAX_NODES            n(n-1)/2 loopback connections; beyond this,
 
 from __future__ import annotations
 
-import asyncio
 from typing import Optional, Sequence
 
 from ..graphs.network import ImplicitNetwork
@@ -91,4 +90,4 @@ def run(request: RunRequest, *,
                        timeline=request.timeline,
                        round_timeout=round_timeout,
                        hang_nodes=hang_nodes)
-    return asyncio.run(runner.run_async(request.max_rounds))
+    return runner.run(request.max_rounds)

@@ -14,7 +14,9 @@ knows exactly how many frames each node must receive for a delivery
 round (the simulator's bookkeeping tells it), and ``expect`` blocks on
 the arrival event until that many frames are buffered.  Frames for
 *later* rounds arriving early is fine — they sit in their own buffer
-until their round comes up.
+until their round comes up.  A malformed frame stops its reader and
+fails the next ``expect`` on that endpoint with the reader's
+:class:`~repro.net.codec.CodecError`, rather than a barrier timeout.
 """
 
 from __future__ import annotations
@@ -49,9 +51,12 @@ class NodeEndpoint:
         #: bytes actually moved over the wire (transport telemetry).
         self.wire_bytes_out = 0
         self.wire_bytes_in = 0
-        #: fires once all expected inbound dials have completed.
+        #: a CodecError a reader task hit; expect() re-raises it.
+        self.error: Optional[codec.CodecError] = None
+        #: fires once every expected dialer has said hello.
         self._ready = asyncio.Event()
-        self._expected_dials = 0
+        #: lower-indexed neighbours that have not dialed in yet.
+        self._dialers: Set[int] = set()
 
     # -- listener side -------------------------------------------------
 
@@ -63,15 +68,20 @@ class NodeEndpoint:
 
     async def _on_accept(self, reader: asyncio.StreamReader,
                          writer: asyncio.StreamWriter) -> None:
-        peer = await codec.read_hello(reader)
-        if peer is None:
+        """Admit a dialer that names a neighbour still expected to dial
+        in; close any other connection."""
+        try:
+            peer = await codec.read_hello(reader)
+        except codec.CodecError:
+            peer = None
+        if peer not in self._dialers:
             writer.close()
             return
+        self._dialers.discard(peer)
         self.writers[peer] = writer
         self.reader_tasks.append(
             asyncio.ensure_future(self._read_loop(reader)))
-        self._expected_dials -= 1
-        if self._expected_dials <= 0:
+        if not self._dialers:
             self._ready.set()
 
     def attach(self, peer: int, reader: asyncio.StreamReader,
@@ -83,11 +93,16 @@ class NodeEndpoint:
 
     async def _read_loop(self, reader: asyncio.StreamReader) -> None:
         while True:
-            body = await codec.read_raw(reader)
-            if body is None:
+            try:
+                body = await codec.read_raw(reader)
+                if body is None:
+                    return
+                self.wire_bytes_in += codec.HEADER_SIZE + len(body)
+                frame = codec.decode_body(body)
+            except codec.CodecError as exc:
+                self.error = exc
+                self._arrival.set()
                 return
-            self.wire_bytes_in += codec.HEADER_SIZE + len(body)
-            frame = codec.decode_body(body)
             self._buffers.setdefault(frame[1], []).append(frame)
             self._arrival.set()
 
@@ -95,11 +110,17 @@ class NodeEndpoint:
 
     async def expect(self, delivery_round: int, count: int,
                      timeout: float) -> None:
-        """Block until ``count`` frames for ``delivery_round`` arrived."""
-        while len(self._buffers.get(delivery_round, ())) < count:
-            self._arrival.clear()
+        """Block until ``count`` frames for ``delivery_round`` arrived.
+
+        Raises the reader's :class:`~repro.net.codec.CodecError` once a
+        malformed frame arrived on any of this endpoint's connections.
+        """
+        while True:
+            if self.error is not None:
+                raise self.error
             if len(self._buffers.get(delivery_round, ())) >= count:
-                break
+                return
+            self._arrival.clear()
             try:
                 await asyncio.wait_for(self._arrival.wait(), timeout)
             except asyncio.TimeoutError:
@@ -149,18 +170,6 @@ class NodeEndpoint:
         if self.server is not None:
             self.server.close()
 
-    async def close(self) -> None:
-        self.kill()
-        for task in self.reader_tasks:
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
-            except Exception:
-                pass
-        if self.server is not None:
-            await self.server.wait_closed()
-
 
 async def open_mesh(network: Network, timeout: float) -> List[NodeEndpoint]:
     """Build one loopback TCP connection per undirected edge.
@@ -179,12 +188,10 @@ async def open_mesh(network: Network, timeout: float) -> List[NodeEndpoint]:
             if u < v:
                 dial_pairs.append((u, v))
 
-    inbound: Dict[int, int] = {}
-    for _, v in dial_pairs:
-        inbound[v] = inbound.get(v, 0) + 1
+    for u, v in dial_pairs:
+        endpoints[v]._dialers.add(u)
     for ep in endpoints:
-        ep._expected_dials = inbound.get(ep.index, 0)
-        if ep._expected_dials == 0:
+        if not ep._dialers:
             ep._ready.set()
 
     for ep in endpoints:

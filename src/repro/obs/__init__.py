@@ -2,9 +2,8 @@
 
 This package is the opt-in window into a run.  Nothing in it is on any
 hot path: the simulator's default configuration carries a ``None``
-tracer and records no timeline, and the instrumented paths are swapped
-in by instance-method rebinding only when a consumer asks for them
-(same idiom as the execution-model general path).
+tracer and records no timeline, and its round core records the
+per-round census only when a consumer asks for one.
 
 * :mod:`repro.obs.trace` — structured event traces: a :class:`Tracer`
   protocol the scheduler drives, JSONL and Chrome trace-event

@@ -505,50 +505,6 @@ def test_rl203_fires_on_missing_knowledge_key(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# RL301 rebinding signature drift
-# ----------------------------------------------------------------------
-RL301_BAD = """\
-class Sched:
-    def _dispatch(self, r, inboxes):
-        pass
-
-    def _dispatch_fast(self, r):
-        pass
-
-    def pick(self):
-        self._dispatch = self._dispatch_fast
-"""
-
-RL301_CLEAN = RL301_BAD.replace("def _dispatch_fast(self, r):",
-                                "def _dispatch_fast(self, r, inboxes):")
-
-
-def test_rl301_fires_on_drifted_rebind(tmp_path):
-    result = lint_tree(tmp_path, {"repro/sim/s.py": RL301_BAD},
-                       select=["RL301"])
-    assert codes(result) == ["RL301"]
-
-
-def test_rl301_clean_on_matching_signatures(tmp_path):
-    result = lint_tree(tmp_path, {"repro/sim/s.py": RL301_CLEAN},
-                       select=["RL301"])
-    assert codes(result) == []
-
-
-def test_rl301_checks_local_closure_rebinds(tmp_path):
-    src = ("class Sched:\n"
-           "    def _exec(self, r, inboxes):\n"
-           "        pass\n"
-           "\n"
-           "    def wire(self):\n"
-           "        def exec_obs(r):\n"
-           "            pass\n"
-           "        self._exec = exec_obs\n")
-    result = lint_tree(tmp_path, {"repro/sim/s.py": src}, select=["RL301"])
-    assert codes(result) == ["RL301"]
-
-
-# ----------------------------------------------------------------------
 # RL001 stale suppressions
 # ----------------------------------------------------------------------
 def test_rl001_flags_stale_and_unknown_suppressions(tmp_path):

@@ -20,6 +20,7 @@ import pytest
 import repro.api as api
 from repro.api import run_algorithm
 from repro.experiments import ExperimentSpec, Runner
+from repro.graphs import complete, ring
 from repro.graphs.specs import parse_graph_spec
 from repro.obs import (
     ChromeTracer,
@@ -38,6 +39,7 @@ from repro.obs import (
 )
 from repro.obs.log import configure_logging, get_logger, reset_logging
 from repro.sim import Simulator, make_model
+from repro.sim.models import BernoulliLoss, ExecutionModel, ExplicitCrashes
 from repro.sim.bench import load_trajectory, measure_point, snapshot
 
 
@@ -151,6 +153,30 @@ class TestTraceEquivalence:
         info = validate_trace(tracer.events)
         assert tracer.events[-1]["truncated"] is True
         assert info["sent"] == result.metrics.messages
+
+
+class TestNetTraceParity:
+    """Both drivers of the round core emit the same event stream: a
+    socket run's trace equals the event loop's, event for event."""
+
+    @pytest.mark.net
+    @pytest.mark.parametrize("algorithm,topology,model", [
+        ("flood-max", lambda: ring(8), None),
+        ("least-el", lambda: complete(12),
+         ExecutionModel(loss=BernoulliLoss(0.1), seed=7)),
+        ("flood-max", lambda: ring(8),
+         ExecutionModel(crash=ExplicitCrashes({2: 3, 5: 1}))),
+    ], ids=["sync", "loss", "crash"])
+    def test_net_trace_equals_event_loop_trace(self, algorithm, topology,
+                                               model):
+        traces = []
+        for backend in ("event-loop", "net"):
+            tracer = RecordingTracer()
+            run_algorithm(topology(), algorithm, seed=4, model=model,
+                          tracer=tracer, backend=backend)
+            traces.append(tracer.events)
+        assert len(traces[0]) > 0
+        assert traces[1] == traces[0]
 
 
 class TestTraceIO:
@@ -527,8 +553,7 @@ class TestGoldenParityUntouched:
         spec = api._ensure_registry()["trivial"]
         sim = Simulator(net, spec.factory, seed=0,
                         knowledge={"n": net.num_nodes})
-        # Instance-method rebinding only happens under observation: the
-        # default path must fall through to the class methods.
-        assert "_dispatch_round" not in sim.__dict__
+        # The per-round census runs only under observation.
+        assert not sim._observed
         assert sim._tracer is None
         assert sim.metrics.timeline is None
