@@ -1,8 +1,7 @@
-"""Verification, statistics, scaling fits, Table 1 renderer (system S8)."""
+"""Verification, statistics and scaling fits (system S8)."""
 
 from .fitting import PowerLawFit, RatioBand, doubling_ratios, power_law_fit, ratio_band
 from .stats import Summary, TrialStats, run_trials
-from .tables import reproduce_table1
 from .verify import (
     assert_unique_leader,
     election_outcome,
@@ -22,6 +21,5 @@ __all__ = [
     "leaders_agree",
     "power_law_fit",
     "ratio_band",
-    "reproduce_table1",
     "run_trials",
 ]

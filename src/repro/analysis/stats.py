@@ -3,7 +3,7 @@
 The paper's randomized bounds are "in expectation" or "with high
 probability"; experiments therefore run each configuration over many
 seeds and report means and dispersion.  :func:`run_trials` is the
-standard loop used by the benchmarks and EXPERIMENTS.md.
+standard loop behind ``repro elect --trials`` and ``repro bench-sim``.
 """
 
 from __future__ import annotations

@@ -198,12 +198,12 @@ def cmd_elect(args: argparse.Namespace) -> int:
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
-    from .analysis import reproduce_table1
+    from .report import run_report, summary_table
 
-    table = reproduce_table1(grid=args.grid, seed=args.seed,
-                             cache_dir=args.cache_dir, workers=args.workers,
-                             progress=_log_progress)
-    print(table)
+    report = run_report(grid=args.grid, seed=args.seed,
+                        cache_dir=args.cache_dir, workers=args.workers,
+                        progress=_log_progress)
+    print(summary_table(report, markdown=False))
     return 0
 
 

@@ -119,7 +119,7 @@ class ClusteringElection(ElectionProcess):
     def __init__(self, rate: "Optional[Callable[[int], float]]" = None) -> None:
         #: Phase-1 candidate probability as a function of n (defaults to
         #: the paper's 8·ln n / n); exposed for the candidate-rate
-        #: ablation bench.
+        #: ablation in ``tests/test_clustering.py::TestCustomRate``.
         self._rate = rate if rate is not None else candidate_probability
         # Phase 1 state
         self._cluster: Optional[int] = None

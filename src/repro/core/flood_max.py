@@ -22,8 +22,8 @@ Time is exactly ``T + O(1)`` rounds; messages are O(m · min(n, T)) in
 the worst case (each edge carries only strictly increasing values), with
 the classic Ω(m·n)-ish worst case on adversarially decreasing rings —
 which is precisely why the paper develops the cheaper algorithms of
-Section 4.  This baseline appears in benchmarks as the time-optimal,
-message-suboptimal reference point.
+Section 4.  This baseline is the time-optimal, message-suboptimal
+reference point of the ``headline-sublinear`` claim in ``repro report``.
 """
 
 from __future__ import annotations

@@ -194,8 +194,8 @@ class _KingdomBase(ElectionProcess):
         #: ignoring the CONFIRM/VICTOR 2-hop aggregation.  Correctness
         #: is unaffected (the elect condition is unchanged) but the
         #: halving guarantee of Lemma 4.8 is lost — star-like kingdom
-        #: graphs keep all their leaf candidates alive.  Benched by
-        #: ``bench_ablation_double_win.py``.
+        #: graphs keep all their leaf candidates alive.  Tested by
+        #: ``tests/test_kingdom_ablation.py::TestAblationCost``.
         self.double_win = double_win
         self._alive = True          # still a candidate
         self._decided = False

@@ -14,7 +14,8 @@ and **zero** rounds, demonstrating why the paper's lower bounds must
 assume a sufficiently *large* constant success probability (> 53/56 for
 messages, > 15/16-ish for time).
 
-``benchmarks/bench_trivial_intro.py`` reproduces the ≈ 1/e success rate.
+The ``intro-trivial`` claim of ``repro report`` reproduces the ≈ 1/e
+success rate.
 """
 
 from __future__ import annotations

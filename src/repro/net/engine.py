@@ -17,7 +17,9 @@ non-delay-tolerant algorithm kingdom's port discipline assumes lock-step
                              rounds; real sockets are asynchronous
 ``watch_edges``              needs the per-send Envelope path
 ``record_sends``             same — sends live on sockets, not in a log
-delay Δ > 1                  delivery bookkeeping is the Δ = 1 flat buffer
+delay Δ > 1                  inboxes are source-sorted frames, which equal
+                             the core's submission order only when every
+                             frame was sent in the previous round (Δ = 1)
 implicit (lazy) networks     implicit topologies exist for n far beyond
                              any socket mesh
 n > NET_MAX_NODES            n(n-1)/2 loopback connections; beyond this,
@@ -60,7 +62,9 @@ def supports(request: RunRequest) -> Optional[str]:
         return "record_sends needs the event loop's per-send Envelope path"
     if request.model is not None and request.model.delay.max_delay > 1:
         return (f"delay Δ={request.model.delay.max_delay} > 1: net "
-                "delivery bookkeeping is the Δ=1 flat buffer")
+                "inboxes are source-sorted frames, which match the "
+                "event loop's delivery order only when every frame was "
+                "sent in the previous round (Δ=1)")
     if isinstance(request.network, ImplicitNetwork):
         return ("implicit (lazy) networks are simulator-scale; the net "
                 "backend opens one real TCP connection per edge")

@@ -1,4 +1,4 @@
-"""Analysis toolkit: verification, statistics, fitting, Table 1."""
+"""Analysis toolkit: verification, statistics, fitting."""
 
 import math
 
@@ -194,12 +194,14 @@ class TestFittingEdgeCases:
         assert band.spread == math.inf
 
 
+
 class TestTable1:
     def test_reproduces_all_rows(self, tmp_path):
-        from repro.analysis import reproduce_table1
+        from repro.report import run_report, summary_table
 
-        text = reproduce_table1(grid="smoke", seed=0,
-                                cache_dir=str(tmp_path / "cache"))
+        report = run_report(grid="smoke", seed=0,
+                            cache_dir=str(tmp_path / "cache"))
+        text = summary_table(report, markdown=False)
         for token in ["Thm 3.1", "Thm 3.13", "Thm 4.4", "Thm 4.4(A)",
                       "Thm 4.4(B)", "Cor 4.2", "Cor 4.5", "Cor 4.6",
                       "Thm 4.7", "Thm 4.10", "Thm 4.1", "Sublinear"]:

@@ -3,6 +3,7 @@
 import math
 import statistics
 
+from repro.analysis import run_trials
 from repro.core import ClusteringElection, candidate_probability
 from repro.graphs import erdos_renyi, grid, ring
 from tests.conftest import run_election
@@ -85,6 +86,28 @@ class TestCustomRate:
                               knowledge_keys=("n",))
         assert result.num_leaders == 0
         assert result.messages == 0
+
+    def test_paper_rate_succeeds_and_oversampling_inflates_overlay(self):
+        # Ablation of Theorem 4.7's 8·ln n / n: the paper's multiplier
+        # always elects, and 4x the candidates densifies the overlay.
+        t = erdos_renyi(64, target_edges=int(64 ** 1.6), seed=113)
+
+        def sweep(c):
+            def rate(n):
+                return min(1.0, c * math.log(n) / n)
+
+            return run_trials(t, lambda: ClusteringElection(rate=rate),
+                              trials=6, seed=127, knowledge_keys=("n",),
+                              keep_results=True)
+
+        def mean_overlay_edges(stats):
+            return statistics.fmean(
+                sum(o["overlay_degree"] for o in r.outputs) / 2
+                for r in stats.results)
+
+        paper, oversampled = sweep(8), sweep(32)
+        assert paper.success_rate == 1.0
+        assert mean_overlay_edges(oversampled) > mean_overlay_edges(paper)
 
 
 class TestAgreement:

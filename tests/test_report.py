@@ -260,7 +260,6 @@ class TestDeterminismAndCache:
 
     def test_table1_is_cache_warm_after_report(self, tmp_path, monkeypatch):
         """`repro table1` must do zero simulation work on a warm cache."""
-        from repro.analysis import reproduce_table1
         from repro.experiments import runner as exp_runner
 
         calls = []
@@ -270,10 +269,15 @@ class TestDeterminismAndCache:
                             or real_execute(cell))
 
         cache = str(tmp_path / "cache")
-        first = reproduce_table1(grid="smoke", seed=0, cache_dir=cache)
+
+        def table1():
+            report = run_report(grid="smoke", seed=0, cache_dir=cache)
+            return summary_table(report, markdown=False)
+
+        first = table1()
         cold_calls = len(calls)
         assert cold_calls > 0
-        second = reproduce_table1(grid="smoke", seed=0, cache_dir=cache)
+        second = table1()
         assert len(calls) == cold_calls, \
             "warm table1 re-ran simulations instead of hitting the cache"
         assert first == second

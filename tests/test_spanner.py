@@ -77,7 +77,8 @@ class TestSpannerElection:
         # (wave) traffic: on the sparsified graph it is a fraction of the
         # plain algorithm's.  (Total including construction catches up
         # only at larger n, since construction costs ~4km messages while
-        # the plain algorithm pays ~m log n; see bench_cor42_spanner.)
+        # the plain algorithm pays ~m log n; see the cor-4.2-spanner
+        # claim in `repro report`.)
         from repro.core import LeastElementElection
 
         def wave_messages(result):
