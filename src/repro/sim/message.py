@@ -9,7 +9,7 @@ bit complexity and the scheduler can optionally enforce CONGEST.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Optional, Tuple, get_type_hints
 
 #: Default size charged for a scalar field (an ID, a rank, a counter):
 #: all of these are O(log n)-bit quantities in the paper's model.
@@ -36,20 +36,42 @@ def _value_bits(value: Any) -> int:
     return WORD_BITS
 
 
-#: Per-class cache of dataclass field names, so the hot path never pays
-#: the ``dataclasses.fields()`` protocol per message.
-_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}
+#: The field annotations sized without :func:`_value_bits`, mapped to the
+#: exact runtime type a value must have to take that shortcut.
+_SIZED_ANNOTATIONS: Dict[Any, type] = {
+    int: int, bool: bool, str: str, Tuple[int, ...]: tuple,
+}
+
+#: Per-class sizing plan: ``(field name, expected type or None)`` per
+#: dataclass field; ``None`` means always size through :func:`_value_bits`.
+_SIZE_PLANS: Dict[type, Tuple[Tuple[str, Optional[type]], ...]] = {}
+
+
+def _size_plan(cls: type) -> Tuple[Tuple[str, Optional[type]], ...]:
+    """Derive (once per class) how each field of ``cls`` is sized, from
+    its annotation; unresolvable annotations take the fallback."""
+    try:
+        hints = get_type_hints(cls)
+    except Exception:  # e.g. a string annotation naming a local class
+        hints = {}
+    plan = tuple((f.name, _SIZED_ANNOTATIONS.get(hints.get(f.name)))
+                 for f in fields(cls))
+    _SIZE_PLANS[cls] = plan
+    return plan
 
 
 @dataclass(frozen=True)
 class Payload:
     """Base class for algorithm messages.
 
-    Subclasses are frozen dataclasses; their size defaults to the sum of
-    their fields' estimated sizes plus a constant header.  Algorithms
-    shipping structures larger than O(log n) bits (e.g. Algorithm 1's
-    inter-cluster graph) override :meth:`size_bits` or fragment the
-    structure explicitly.
+    Subclasses are frozen dataclasses whose size is the sum of their
+    fields' sizes plus a constant header.  Each field is sized by its
+    annotation — ``int``, ``bool``, ``str`` or ``Tuple[int, ...]`` —
+    read once per class; any other annotation, or a value whose exact
+    type differs from it (``None`` or ``True`` in an ``int`` field), is
+    sized by the recursive :func:`_value_bits`, which defines every
+    size.  Structures larger than O(log n) bits (e.g. Algorithm 1's
+    inter-cluster graph) are fragmented into many small payloads.
 
     Sizes are memoized per instance (payloads are immutable), so a
     payload broadcast over many ports is measured once, and the CONGEST
@@ -60,14 +82,29 @@ class Payload:
         cached = self.__dict__.get("_size_bits")
         if cached is not None:
             return cached
-        cls = type(self)
-        names = _FIELD_NAMES.get(cls)
-        if names is None:
-            names = _FIELD_NAMES[cls] = tuple(f.name for f in fields(self))
+        plan = _SIZE_PLANS.get(type(self))
+        if plan is None:
+            plan = _size_plan(type(self))
         total = 8  # message-type header
-        for name in names:
-            total += _value_bits(getattr(self, name))
-        object.__setattr__(self, "_size_bits", total)
+        for name, expected in plan:
+            value = getattr(self, name)
+            vtype = type(value)
+            if vtype is not expected:
+                total += _value_bits(value)
+            elif vtype is int:
+                total += (value.bit_length() or 1) + (value < 0)
+            elif vtype is tuple:
+                total += len(value)
+                for item in value:
+                    if type(item) is int:
+                        total += (item.bit_length() or 1) + (item < 0)
+                    else:
+                        total += _value_bits(item)
+            elif vtype is str:
+                total += 8 * len(value)
+            else:  # bool
+                total += 1
+        self.__dict__["_size_bits"] = total
         return total
 
     def kind(self) -> str:

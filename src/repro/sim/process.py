@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from typing import (Any, Dict, Iterable, List, Mapping, NamedTuple,
-                    Sequence, TYPE_CHECKING)
+                    Sequence, Tuple, TYPE_CHECKING)
 
 from .contract import node_rng
 from .errors import InvalidPort, ModelViolation
@@ -57,7 +57,7 @@ class NodeContext:
         self._sent_round = -1
         self._sent_ports: set = set()
         self._sent_all = False
-        self._outbox: list = []
+        self._outbox: List[Tuple[int, Payload]] = []
         #: Free-form per-node outputs collected into the RunResult
         #: (estimates, received-broadcast flags, phase counts, ...).
         self.output: Dict[str, Any] = {}
@@ -115,18 +115,26 @@ class NodeContext:
         self._sim._submit_send(self._index, port, payload)
 
     def send_soon(self, port: int, payload: Payload) -> None:
-        """Send through ``port`` now if it is free this round, otherwise
-        in the earliest following round with a free slot.
+        """Send through ``port`` in the earliest round, from this one on,
+        with a free slot on it.
 
         This is how protocols share an edge between logically concurrent
         messages (e.g. an echo and a forward of a better rank in the
         same round) without violating the one-message-per-edge-per-round
-        discipline.  Deferred messages are flushed automatically at the
-        node's next activation (an alarm is set to guarantee one).
+        discipline.  The guarantee, per port: messages leave in the order
+        they were handed over (FIFO, mixed freely with
+        :meth:`multicast_soon`), one per round, each in the earliest
+        round that no earlier message on the port has taken.  Deferred
+        messages go out at the start of the node's following
+        activations, before its handler runs (so a plain :meth:`send`
+        on a port with a backlog raises :class:`ModelViolation`); one
+        alarm a round ahead, set when the queue stops being empty and
+        renewed while it is not, guarantees those activations.
 
         Halted nodes may not send at all — deferring would silently
         drop the message (a halted node is never activated again), so
-        the model violation is raised up front.
+        the model violation is raised up front; for the same reason a
+        node with queued messages may not :meth:`halt`.
         """
         if self._halted:
             raise ModelViolation(f"halted node {self._index} tried to send")
@@ -135,18 +143,41 @@ class NodeContext:
                               f"[0, {self._degree})")
         if self._round == self._sent_round and (self._sent_all or
                                                 port in self._sent_ports):
-            self._outbox.append((port, payload))
-            self._sim._submit_alarm(self._index, self._round + 1)
+            self._defer([(port, payload)])
         else:
             self.send(port, payload)
 
-    def _flush_outbox(self) -> None:
-        """Called by the scheduler at the start of each activation."""
+    def _defer(self, entries: List[Tuple[int, Payload]]) -> None:
+        """Queue ``(port, payload)`` entries behind the outbox; the alarm
+        is set once, when the outbox stops being empty."""
         if not self._outbox:
+            self._sim._submit_alarm(self._index, self._round + 1)
+        self._outbox.extend(entries)
+
+    def _flush_outbox(self) -> None:
+        """Called by the scheduler at the start of each activation.
+
+        One pass in deferral order sends the oldest queued message of
+        each port; the rest stay queued, in order, and keep the alarm
+        for the next round.
+        """
+        backlog = self._outbox
+        if not backlog:
             return
-        backlog, self._outbox = self._outbox, []
-        for port, payload in backlog:
-            self.send_soon(port, payload)
+        if self._round != self._sent_round:
+            self._sent_round = self._round
+            self._sent_ports.clear()
+            self._sent_all = False
+        taken = self._sent_ports  # ``send`` adds each port it uses
+        self._outbox = keep = []
+        send = self.send
+        for entry in backlog:
+            if entry[0] in taken:
+                keep.append(entry)
+            else:
+                send(*entry)
+        if keep:
+            self._sim._submit_alarm(self._index, self._round + 1)
 
     def _claim_ports(self, ports: Sequence[int],
                      check_range: bool = False) -> None:
@@ -238,6 +269,11 @@ class NodeContext:
         """Batched :meth:`send_soon`: ports free this round are sent as
         one multicast, the rest are deferred to following rounds.
 
+        Each port gets the :meth:`send_soon` guarantee, as if the ports
+        were handed over one by one in the given order: per-port FIFO
+        with earlier deferrals, one message per round, each in the
+        earliest round its port has free.
+
         Atomic like :meth:`multicast`: an out-of-range port (or a
         halted sender) aborts the whole batch with nothing sent,
         claimed, or deferred.
@@ -271,8 +307,7 @@ class NodeContext:
         if now:
             self._sim._submit_multicast(self._index, now, payload)
         if later:
-            self._outbox.extend((port, payload) for port in later)
-            self._sim._submit_alarm(self._index, self._round + 1)
+            self._defer([(port, payload) for port in later])
 
     # -- timers ------------------------------------------------------------
     def set_alarm_in(self, delta: int) -> None:
@@ -313,7 +348,15 @@ class NodeContext:
             self._sim._note_activity(self._round)
 
     def halt(self) -> None:
-        """Stop participating: no further activations, inbound dropped."""
+        """Stop participating: no further activations, inbound dropped.
+
+        Raises :class:`ModelViolation` while deferred sends are queued:
+        they would never leave (only crash-stop faults drop them).
+        """
+        if self._outbox:
+            raise ModelViolation(
+                f"node {self._index} tried to halt with "
+                f"{len(self._outbox)} deferred send(s) queued")
         self._halted = True
 
     @property

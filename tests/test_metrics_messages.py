@@ -1,7 +1,13 @@
 """Message payload sizing and metrics accounting."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Any, FrozenSet, List, Optional, Tuple, get_type_hints
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import repro.sim.message as message
+from repro.api import _ensure_registry
 from repro.core.waves import WaveRankMsg
 from repro.graphs import Network, path
 from repro.sim import Envelope, Metrics, NodeProcess, Payload, Simulator
@@ -32,6 +38,112 @@ class TestPayloadSizes:
 
     def test_kind(self):
         assert Small().kind() == "Small"
+
+
+def _subclasses(cls: type) -> List[type]:
+    found = []
+    for sub in cls.__subclasses__():
+        found.append(sub)
+        found.extend(_subclasses(sub))
+    return found
+
+
+def registry_payloads() -> List[type]:
+    """Every Payload subclass the registry's algorithms import."""
+    _ensure_registry()
+    return sorted((c for c in _subclasses(Payload)
+                   if c.__module__.startswith("repro.")),
+                  key=lambda c: (c.__module__, c.__name__))
+
+
+def reference_bits(payload: Payload) -> int:
+    """The recursive definition every size must agree with."""
+    return 8 + sum(message._value_bits(getattr(payload, f.name))
+                   for f in fields(payload))
+
+
+@dataclass(frozen=True)
+class Mixed(Payload):
+    """Annotated-kind fields next to kinds the plan does not cover."""
+    n: int
+    members: FrozenSet[int]
+    inner: Optional[Payload]
+    extra: Any
+
+
+@dataclass(frozen=True)
+class Unresolvable(Payload):
+    """An annotation that names no importable type."""
+    value: "NoSuchType"  # noqa: F821
+
+
+_INTS = st.one_of(st.integers(), st.just(0),
+                  st.integers(min_value=2**64, max_value=2**200),
+                  st.integers(min_value=-2**200, max_value=-2**64))
+_ANY = st.one_of(_INTS, st.booleans(), st.none(), st.text(max_size=6),
+                 st.frozensets(st.integers(-9, 9), max_size=3))
+#: Values per annotation: mostly of the annotated type, sometimes not
+#: (``bool``/``None`` in an ``int`` field must still size exactly).
+_VALUES = {
+    int: st.one_of(_INTS, st.booleans(), st.none()),
+    bool: st.one_of(st.booleans(), st.none(), _INTS),
+    str: st.one_of(st.text(max_size=12), st.none()),
+    Tuple[int, ...]: st.one_of(
+        st.lists(_INTS, max_size=4).map(tuple),
+        st.lists(_ANY, max_size=4).map(tuple),
+        st.lists(_INTS, max_size=4), st.none()),
+}
+
+
+class TestAnnotationSizing:
+    def test_registry_payloads_are_all_annotated_kinds(self):
+        classes = registry_payloads()
+        assert len(classes) >= 20
+        for cls in classes:
+            for hint in get_type_hints(cls).values():
+                assert hint in _VALUES, (cls, hint)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_annotation_size_equals_recursive_reference(self, data):
+        cls = data.draw(st.sampled_from(registry_payloads()))
+        hints = get_type_hints(cls)
+        payload = cls(**{f.name: data.draw(_VALUES[hints[f.name]], f.name)
+                         for f in fields(cls)})
+        assert payload.size_bits() == reference_bits(payload)
+
+    def test_well_typed_values_skip_the_recursion(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(message, "_value_bits",
+                            lambda v: calls.append(v) or 0)
+        example = {int: -3, bool: True, str: "tag",
+                   Tuple[int, ...]: (0, 2**70, -1)}
+        for cls in registry_payloads():
+            hints = get_type_hints(cls)
+            cls(**{f.name: example[hints[f.name]]
+                   for f in fields(cls)}).size_bits()
+        assert calls == []
+
+    @pytest.mark.parametrize("payload", [
+        Mixed(n=-2**65, members=frozenset({1, -4}),
+              inner=Small(), extra=[True, None, "ab"]),
+        Mixed(n=True, members=frozenset(), inner=None, extra=(1, (2, 3))),
+        Mixed(n=0, members=frozenset({0}), inner=WaveRankMsg("t", ()),
+              extra=2.5),
+        Unresolvable(value=(7, -7)),
+        Unresolvable(value=None),
+        WithTuple(key=(5, -6, 2**64)),
+    ])
+    def test_other_kinds_take_the_fallback(self, payload, monkeypatch):
+        expected = reference_bits(payload)
+        seen = []
+        recursive = message._value_bits
+        monkeypatch.setattr(message, "_value_bits",
+                            lambda v: seen.append(v) or recursive(v))
+        assert payload.size_bits() == expected
+        uncovered = [getattr(payload, f.name) for f in fields(payload)
+                     if f.name != "n" or type(payload.n) is not int]
+        assert all(any(v is value for v in seen) for value in uncovered)
 
 
 class TestEnvelope:

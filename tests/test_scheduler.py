@@ -1,13 +1,16 @@
 """Scheduler semantics: the synchronous model of Section 2."""
 
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List, Tuple
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.graphs import Network, path, ring, star
+from repro.graphs import Network, complete, path, ring, star
 from repro.sim import (
     CongestViolation,
+    ExecutionModel,
+    ExplicitCrashes,
     ExplicitWakeup,
     ModelViolation,
     NodeContext,
@@ -161,6 +164,40 @@ class TestModelRules:
         result = sim.run()
         assert result.messages == 3  # only the pre-halt sends
 
+    def test_halt_with_deferred_sends_rejected(self):
+        # The queued message would never leave, so halting must wait
+        # until the outbox has drained.
+        class HaltsWithBacklog(NodeProcess):
+            def on_start(self, ctx):
+                ctx.send_soon(0, Ping(1))
+                ctx.send_soon(0, Ping(2))  # busy port: deferred
+                with pytest.raises(ModelViolation):
+                    ctx.halt()
+                assert not ctx.halted
+
+            def on_round(self, ctx, inbox):
+                ctx.halt()  # the round-1 flush emptied the outbox
+
+        _, sim = build(ring(3), HaltsWithBacklog)
+        result = sim.run()
+        assert result.messages == 2 * 3  # the deferred sends left too
+
+    def test_crash_drops_deferred_sends(self):
+        # Crash-stop is not a voluntary halt: the backlog is lost.
+        class Streamer(NodeProcess):
+            def on_start(self, ctx):
+                if ctx.uid == ctx.knowledge["starter"]:
+                    for hops in range(3):
+                        ctx.send_soon(0, Ping(hops))
+
+        net = Network.build(path(2), seed=1)
+        sim = Simulator(net, Streamer, seed=1,
+                        knowledge={"starter": net.id_of(0)},
+                        model=ExecutionModel(crash=ExplicitCrashes({0: 1})))
+        result = sim.run()
+        assert result.messages == 1
+        assert result.metrics.crashed_nodes == [0]
+
     def test_multicast_soon_failed_batch_is_atomic(self):
         class Batcher(NodeProcess):
             def on_start(self, ctx):
@@ -190,6 +227,125 @@ class TestModelRules:
         sim = Simulator(net, Sender, seed=1, congest_bits=256)
         with pytest.raises(CongestViolation):
             sim.run()
+
+
+@dataclass(frozen=True)
+class Tagged(Payload):
+    """A deferred-send probe: its sender and the number of the call
+    that handed it over (calls count per sender)."""
+    src: int
+    seq: int
+
+
+class Scripted(NodeProcess):
+    """Replays a per-node script: ``script[uid][round]`` lists
+    ``(multi, ports)`` calls, each either one ``multicast_soon(ports)``
+    or a ``send_soon`` per port."""
+
+    def __init__(self, script: Dict[int, Dict[int, list]]) -> None:
+        self.script = script
+
+    def on_start(self, ctx):
+        self.seq = 0
+        self.log = ctx.output["arrivals"] = []
+        for r in self.script.get(ctx.uid, {}):
+            if r > 0:
+                ctx.set_alarm_at(r)
+        self._play(ctx)
+
+    def on_round(self, ctx, inbox):
+        self.log.extend((d.payload, ctx.round) for d in inbox)
+        self._play(ctx)
+
+    def _play(self, ctx):
+        for multi, ports in self.script.get(ctx.uid, {}).get(ctx.round, ()):
+            ports = list(dict.fromkeys(p % ctx.degree for p in ports))
+            payload = Tagged(ctx.uid, self.seq)
+            if multi:
+                ctx.multicast_soon(ports, payload)
+            else:
+                for port in ports:
+                    ctx.send_soon(port, payload)
+            self.seq += 1
+
+
+class TestDeferredSends:
+    @settings(max_examples=60, deadline=None)
+    @given(graph=st.sampled_from(["path3", "ring4", "star4", "clique4"]),
+           calls=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                                    st.booleans(),
+                                    st.lists(st.integers(0, 3), min_size=1,
+                                             max_size=4)),
+                          min_size=1, max_size=40))
+    def test_per_port_fifo_in_earliest_free_round(self, graph, calls):
+        # Dense scripts (4 nodes, 4 rounds, up to 40 calls) so backlogs
+        # build up on several ports of one node at once.
+        topology = {"path3": path(3), "ring4": ring(4), "star4": star(4),
+                    "clique4": complete(4)}[graph]
+        net = Network.build(topology, seed=1)
+        n = net.num_nodes
+        script: Dict[int, Dict[int, list]] = {}
+        for node, r, multi, ports in calls:
+            uid = net.id_of(node % n)
+            script.setdefault(uid, {}).setdefault(r, []).append((multi, ports))
+        result = Simulator(net, lambda: Scripted(script), seed=1).run()
+
+        # Expected departures: each (sender, port) stream in call order,
+        # each message in the first round after its predecessor's.
+        expected: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+        for uid in sorted(script):
+            degree = net.degree(net.index_of_id(uid))
+            seq = 0
+            for r in sorted(script[uid]):
+                for _multi, ports in script[uid][r]:
+                    for port in dict.fromkeys(p % degree for p in ports):
+                        stream = expected.setdefault((uid, port), [])
+                        leave = max(r, stream[-1][1] + 1) if stream else r
+                        stream.append((seq, leave))
+                    seq += 1
+
+        # Observed departures, keyed by the sender's port (recovered from
+        # the network's port table).  Equality with ``expected`` also
+        # means at most one message per port per round.
+        observed: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+        for idx, out in enumerate(result.outputs):
+            for payload, arrived in out["arrivals"]:
+                src = net.index_of_id(payload.src)
+                port = next(p for p in range(net.degree(src))
+                            if net.neighbor_via_port(src, p) == idx)
+                observed.setdefault((payload.src, port), []).append(
+                    (payload.seq, arrived - 1))
+        for stream in observed.values():
+            stream.sort(key=lambda entry: entry[1])
+        assert observed == expected
+        assert result.messages == sum(map(len, expected.values()))
+
+    def test_long_stream_sets_one_alarm_per_round(self):
+        # A B-message stream on one port needs B rounds, hence at most
+        # B alarms plus the one set when the queue first fills.  An alarm
+        # per re-deferred message would cost about B²/2.
+        B = 200
+
+        class Streamer(NodeProcess):
+            def on_start(self, ctx):
+                if ctx.uid == ctx.knowledge["starter"]:
+                    for hops in range(B):
+                        ctx.send_soon(0, Ping(hops))
+
+            def on_round(self, ctx, inbox):
+                ctx.output.setdefault("hops", []).extend(
+                    (ctx.round, d.payload.hops) for d in inbox)
+
+        net = Network.build(path(2), seed=1)
+        sim = Simulator(net, Streamer, seed=1,
+                        knowledge={"starter": net.id_of(0)})
+        alarms = []
+        submit = sim._submit_alarm
+        sim._submit_alarm = lambda node, r: (alarms.append(r),
+                                             submit(node, r))
+        result = sim.run()
+        assert len(alarms) <= B + 1
+        assert result.outputs[1]["hops"] == [(r + 1, r) for r in range(B)]
 
 
 class TestHalting:
